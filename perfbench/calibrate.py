@@ -1,66 +1,115 @@
 #!/usr/bin/env python3
-"""Calibrates perfbench/bands.csv, the admissible m* of every threshold search.
+"""Calibrates perfbench/bands.json, the reference m* of every threshold search.
 
-    python3 perfbench/calibrate.py [--first-seed 1] [--seeds 8] [--seconds 20]
-                                   [--held-out 1000003]
+    python3 perfbench/calibrate.py
 
-Runs both mc_* workloads without a band check on seeds first-seed ..
-first-seed+seeds-1 (each run covers several passes, each pass its own
-derived seeds), takes each row's smallest and largest m*, widens them by
-MARGIN, and writes the bands. It then runs each workload once more, with
-the new bands, on the held-out seed. The margin is what lets a
-distribution-preserving change to the sampling (same law of m*, different
-random stream) pass: the calibrated extremes alone would only cover the
-streams seen here.
+Runs both mc_* workloads, one pass cycle each, without the band check on
+SEEDS calibration seeds, and sets from the m* it sees:
+
+- per row, the reference m* (the geometric mean) and a band: the smallest
+  and largest m* seen, widened in log space by ROW_SDS standard deviations
+  of log m* on each side. (Not interquartile ranges: m* lies on the search's
+  grid, and a row whose m* mostly takes one value has an IQR of 0.)
+- per workload, a limit on the mean over a run's searches of log(m*/ref):
+  MEAN_SDS standard deviations of that mean over the calibration runs.
+
+A distribution-preserving change to the sampling (same law of m*, another
+random stream) draws from the distributions measured here, so it passes.
+The script then checks the bands on the held-out seed HELD_OUT, and checks
+that the same held-out m* scaled by BIAS and by 1/BIAS are refused; it
+exits non-zero if either check goes the wrong way.
 """
-import argparse
+import json
 import math
-import os
+import statistics
 import sys
 
 import run
 
-MARGIN = 1.5
+SEEDS = range(1, 17)
+HELD_OUT = 1000003
+ROW_SDS = 3.0
+MEAN_SDS = 4.0
+BIAS = 1.2
 MC_WORKLOADS = ["mc_dense_threshold", "mc_short_probes"]
 
 
+def one_cycle(out, workload, seed):
+    """The "<pass>,<row>,<m*>" rows of one pass cycle on `seed`."""
+    args = run.parse_args(["--workload", workload, "--seed", str(seed),
+                           "--seconds", "1", "--trace", "0"])
+    _, code, result = run.run_binary(out, args, [])
+    if code != 0:
+        sys.exit("%s seed %d failed: %s" % (workload, seed, result["misses"]))
+    return result["rows"]
+
+
+def calibrate(out, workload):
+    runs = [one_cycle(out, workload, seed) for seed in SEEDS]
+    logs = {}
+    for rows in runs:
+        for line in rows:
+            _, tag, m_star = line.split(",")
+            logs.setdefault(tag, []).append(math.log(int(m_star)))
+    reference = {"rows": {}}
+    for tag in sorted(logs):
+        values = logs[tag]
+        spread = ROW_SDS * statistics.stdev(values)
+        reference["rows"][tag] = {
+            "ref": math.exp(statistics.fmean(values)),
+            "lo": math.floor(math.exp(min(values) - spread)),
+            "hi": math.ceil(math.exp(max(values) + spread)),
+        }
+        print("%s %s: %d searches, m* in [%d, %d], band [%d, %d]"
+              % (workload, tag, len(values), round(math.exp(min(values))),
+                 round(math.exp(max(values))), reference["rows"][tag]["lo"],
+                 reference["rows"][tag]["hi"]))
+    means = []
+    for rows in runs:
+        logs = []
+        for line in rows:
+            _, tag, m_star = line.split(",")
+            logs.append(math.log(int(m_star) / reference["rows"][tag]["ref"]))
+        means.append(statistics.fmean(logs))
+    reference["mean_log_ratio_limit"] = MEAN_SDS * statistics.stdev(means)
+    print("%s: run means of log(m*/ref) sd %.4f, limit %.4f"
+          % (workload, statistics.stdev(means), reference["mean_log_ratio_limit"]))
+    return reference
+
+
+def scaled(rows, factor):
+    out = []
+    for line in rows:
+        pass_, tag, m_star = line.split(",")
+        out.append("%s,%s,%d" % (pass_, tag, round(int(m_star) * factor)))
+    return out
+
+
 def main():
-    parser = argparse.ArgumentParser(allow_abbrev=False)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seeds", type=int, default=8)
-    parser.add_argument("--seconds", type=int, default=20)
-    parser.add_argument("--held-out", type=int, default=1000003)
-    opts = parser.parse_args()
     out = run.build()
-    lines = ["# workload,row,lo,hi: admissible m* per threshold-search row",
-             "# written by perfbench/calibrate.py: seeds %d..%d, margin %g"
-             % (opts.first_seed, opts.first_seed + opts.seeds - 1, MARGIN)]
+    bands = {"calibration": {
+        "seeds": "%d..%d, one pass cycle each" % (SEEDS[0], SEEDS[-1]),
+        "rule": "row band: extremes of log m* widened by %g sd each side; "
+                "mean_log_ratio_limit: %g sd of the run mean of log(m*/ref)"
+                % (ROW_SDS, MEAN_SDS),
+        "held_out": HELD_OUT}}
     for workload in MC_WORKLOADS:
-        seen = {}
-        for seed in range(opts.first_seed, opts.first_seed + opts.seeds):
-            args = run.parse_args(["--workload", workload, "--seed", str(seed),
-                                   "--seconds", str(opts.seconds), "--trace", "0"])
-            _, code, result = run.run_binary(out, args, ["--bands="])
-            if code != 0:
-                sys.exit("calibration run failed: %s" % result["misses"])
-            for row in result["rows"]:
-                _, tag, m_star = row.split(",")
-                seen.setdefault(tag, []).append(int(m_star))
-        for tag in sorted(seen):
-            lo, hi = min(seen[tag]), max(seen[tag])
-            lines.append("%s,%s,%d,%d" % (workload, tag, math.floor(lo / MARGIN),
-                                          math.ceil(hi * MARGIN)))
-            print("%s %s: %d searches, m* in [%d, %d]" % (workload, tag, len(seen[tag]), lo, hi))
-    with open(os.path.join(run.HERE, "bands.csv"), "w") as f:
-        f.write("\n".join(lines) + "\n")
+        bands[workload] = calibrate(out, workload)
+    with open(run.BANDS, "w") as f:
+        json.dump(bands, f, indent=1, sort_keys=True)
+        f.write("\n")
+    ok = True
     for workload in MC_WORKLOADS:
-        args = run.parse_args(["--workload", workload, "--seed", str(opts.held_out),
-                               "--seconds", str(opts.seconds), "--trace", "0"])
-        _, code, result = run.run_binary(out, args, [])
+        rows = one_cycle(out, workload, HELD_OUT)
+        misses = run.check_bands(workload, rows, bands)
         print("held-out seed %d on %s: %d searches, misses: %s"
-              % (opts.held_out, workload, result["attempted"], result["misses"] or "none"))
-        if code != 0:
-            sys.exit(1)
+              % (HELD_OUT, workload, len(rows), misses or "none"))
+        ok = ok and not misses
+        for factor in (BIAS, 1 / BIAS):
+            misses = run.check_bands(workload, scaled(rows, factor), bands)
+            print("  m* x %.3f: %s" % (factor, misses[-1] if misses else "NOT CAUGHT"))
+            ok = ok and bool(misses)
+    sys.exit(0 if ok else 1)
 
 
 if __name__ == "__main__":

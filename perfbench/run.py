@@ -20,6 +20,7 @@ when every output checked out; see perfbench/README.md.
 import argparse
 import hashlib
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -29,9 +30,16 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS = ["mc_dense_threshold", "mc_short_probes", "sketch_solve", "sosed_stream"]
-# Set-up is measured in this many separate processes, plus the measuring run.
-SETUP_SPAWNS = 9
-RUN_TIMEOUT_S = 170
+BANDS = os.path.join(HERE, "bands.json")
+# Set-up is measured in this many separate processes, half of them before
+# the measuring run and half after it, plus the measuring run itself.
+SETUP_SPAWNS = 30
+
+
+def run_timeout(seconds):
+    """How long one perfbench process may take: its measured time, the
+    overrun of its last pass cycle, and start-up."""
+    return 2 * seconds + 90
 
 
 def fail(message, code=2):
@@ -87,12 +95,14 @@ def run_binary(out, args, extra):
     cmd = [os.path.join(out, "perfbench"),
            "--workload=" + args.workload, "--seed=%d" % args.seed,
            "--seconds=%d" % args.seconds, "--trace=%d" % args.trace,
-           "--bands=" + os.path.join(os.path.relpath(HERE, ROOT), "bands.csv"),
            "--sosed=" + os.path.join(out, "sose", "sosed"),
            "--socket=" + os.path.join(rel, "sosed-%d.sock" % os.getpid())] + extra
     spawned = time.monotonic()
-    proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, timeout=RUN_TIMEOUT_S)
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True, timeout=run_timeout(args.seconds))
+    except subprocess.TimeoutExpired:
+        fail("perfbench did not finish within %d s" % run_timeout(args.seconds), 4)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -100,6 +110,42 @@ def run_binary(out, args, extra):
         sys.stderr.write(proc.stderr[-4000:])
         fail("perfbench exited %d without a result" % proc.returncode, 4)
     return spawned, proc.returncode, result
+
+
+def load_bands():
+    with open(BANDS) as f:
+        return json.load(f)
+
+
+def check_bands(workload, rows, bands):
+    """The m* reference check of an mc_* run; returns its misses.
+
+    Every search's m* must lie in its row's band, and the mean over the
+    run's searches of log(m*/ref) must lie within the workload's limit: a
+    bias shared by every row shows in the mean long before it pushes a
+    single search out of its band. `rows` are the binary's
+    "<pass>,<row>,<m*>" lines; bands.json says how the limits were set.
+    """
+    reference = bands[workload]
+    misses, logs = [], []
+    for line in rows:
+        pass_, tag, m_star = line.split(",")
+        band = reference["rows"].get(tag)
+        if band is None:
+            misses.append("pass %s row %s: no reference band" % (pass_, tag))
+            continue
+        m = int(m_star)
+        if not band["lo"] <= m <= band["hi"]:
+            misses.append("pass %s row %s: m*=%d outside [%d, %d]"
+                          % (pass_, tag, m, band["lo"], band["hi"]))
+        logs.append(math.log(m / band["ref"]))
+    if logs:
+        mean = statistics.fmean(logs)
+        limit = reference["mean_log_ratio_limit"]
+        if abs(mean) > limit:
+            misses.append("mean log(m*/ref) over %d searches is %.4f, outside +-%.4f"
+                          % (len(logs), mean, limit))
+    return misses
 
 
 def source_digest():
@@ -162,18 +208,28 @@ def main(argv):
     args = parse_args(argv)
     out = build()
     setups = []
-    if args.trace == 0:
-        for _ in range(SETUP_SPAWNS):
+
+    def measure_setups(count):
+        for _ in range(count):
             spawned, code, result = run_binary(out, args, ["--setup-only"])
             if code != 0:
                 fail("set-up failed: %s" % result["misses"], 5)
             setups.append(result["first_call"] - spawned)
+
+    if args.trace == 0:
+        measure_setups(SETUP_SPAWNS // 2)
     trace_out = os.path.join(out, "trace-%s-seed%d.csv" % (args.workload, args.seed))
     spawned, code, result = run_binary(
         out, args, ["--trace-out=" + os.path.relpath(trace_out, ROOT)] if args.trace else [])
+    if result["rows"]:
+        misses = check_bands(args.workload, result["rows"], load_bands())
+        result["misses"] += misses
+        # `failed` counts operations; the run-mean miss is not one of them.
+        result["failed"] = min(result["attempted"], result["failed"] + len(misses))
     metrics = dict((k, v) for k, v in result["metrics"].items())
     if args.trace == 0:
         setups.append(result["first_call"] - spawned)
+        measure_setups(SETUP_SPAWNS - SETUP_SPAWNS // 2)
         metrics["setup_s"] = {"value": statistics.median(setups), "unit": "s"}
     result["provenance"]["commit"] = git_commit()
     result["provenance"]["source_digest"] = source_digest()

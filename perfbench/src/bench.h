@@ -22,7 +22,6 @@ struct RunConfig {
   bool setup_only = false;
   std::string sosed_path;  // sosed_stream: the server binary
   std::string socket_path; // sosed_stream: the Unix socket to serve on
-  std::string bands_path;  // mc_*: reference m* bands; empty = no band check
   std::string trace_out;   // traced run: where the spans are written
 };
 
@@ -44,7 +43,7 @@ struct RunResult {
   std::vector<std::string> misses;
   std::vector<Metric> metrics;
   std::vector<std::pair<std::string, std::string>> info;
-  /// Per-pass facts for calibration (mc_*: "<pass>,<row>,<m*>").
+  /// mc_*: one "<pass>,<row>,<m*>" per search, for run.py's band check.
   std::vector<std::string> rows;
   // Untraced measurements, folded into the end-to-end metrics by
   // EmitEndToEnd: pass walls, per-operation latencies, units of work done.
@@ -128,9 +127,17 @@ int Nproc();
 /// Formats a double with all its digits.
 std::string Num(double value);
 
-/// Runs until `seconds` have passed since `start` (at least one pass).
+/// A run cycles through this many passes, pass p seeded with
+/// DeriveSeed(seed, p % kPassCycle), and stops only at the end of a cycle,
+/// so every run measures whole cycles of the same pinned work whatever the
+/// speed of the build.
+constexpr int64_t kPassCycle = 4;
+
+/// Runs whole cycles until `seconds` have passed since `start` (at least
+/// one cycle).
 inline bool KeepGoing(double start, double seconds, int64_t passes_done) {
-  return passes_done == 0 || MonotonicSeconds() - start < seconds;
+  return passes_done % kPassCycle != 0 || passes_done == 0 ||
+         MonotonicSeconds() - start < seconds;
 }
 
 /// The workloads.

@@ -4,7 +4,7 @@
 //
 //   perfbench --workload=<name> --seed=<n> --seconds=<s> --trace=<0|1>
 //             [--setup-only] [--sosed=<path>] [--socket=<path>]
-//             [--bands=<path>] [--trace-out=<path>]
+//             [--trace-out=<path>]
 //
 // Unknown or malformed arguments are errors (exit 2); a correctness miss
 // exits 1 after the result line.
@@ -31,7 +31,7 @@ namespace {
                "perfbench: %s\nusage: perfbench --workload=<mc_dense_threshold|"
                "mc_short_probes|sketch_solve|sosed_stream> --seed=<n> "
                "--seconds=<s> --trace=<0|1> [--setup-only] [--sosed=<path>] "
-               "[--socket=<path>] [--bands=<path>] [--trace-out=<path>]\n",
+               "[--socket=<path>] [--trace-out=<path>]\n",
                why.c_str());
   std::exit(2);
 }
@@ -85,8 +85,6 @@ RunConfig ParseArgs(int argc, char** argv) {
       config.sosed_path = value;
     } else if (flag == "--socket") {
       config.socket_path = value;
-    } else if (flag == "--bands") {
-      config.bands_path = value;
     } else if (flag == "--trace-out") {
       config.trace_out = value;
     } else {

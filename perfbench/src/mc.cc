@@ -11,10 +11,7 @@
 // touched rows, and the d×d eigensolve.
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -130,33 +127,6 @@ sose::SketchFactory Factory(const std::string& family, int64_t m, int64_t n,
     config.seed = seed;
     return sose::CreateSketch(family, config);
   };
-}
-
-/// Band of admissible m* per row, from bands.csv.
-using Bands = std::map<std::string, std::pair<int64_t, int64_t>>;
-
-Bands LoadBands(const std::string& path, const std::string& workload,
-                std::string* error) {
-  Bands bands;
-  if (path.empty()) return bands;
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot read bands file " + path;
-    return bands;
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::stringstream fields(line);
-    std::string w, tag, lo, hi;
-    if (!std::getline(fields, w, ',') || !std::getline(fields, tag, ',') ||
-        !std::getline(fields, lo, ',') || !std::getline(fields, hi, ',')) {
-      *error = "malformed bands line: " + line;
-      return bands;
-    }
-    if (w == workload) bands[tag] = {std::stoll(lo), std::stoll(hi)};
-  }
-  return bands;
 }
 
 // ---- traced-pass plumbing -------------------------------------------------
@@ -285,8 +255,7 @@ struct Pass {
 
 Pass RunPass(const std::vector<Row>& rows,
              const std::vector<sose::SectionThreeMixture>& mixtures,
-             uint64_t pass_seed, int64_t pass, int threads, const Bands& bands,
-             bool traced, std::vector<double>* probe_seconds, PerLayer* layer,
+             uint64_t pass_seed, int64_t pass, int threads, bool traced, std::vector<double>* probe_seconds, PerLayer* layer,
              RunResult* result) {
   Pass out;
   out.m_star.assign(rows.size(), 0);
@@ -346,24 +315,14 @@ Pass RunPass(const std::vector<Row>& rows,
     }
     const sose::ThresholdResult& r = found.value();
     out.m_star[i] = r.m_star;
-    result->rows.push_back(std::to_string(pass) + "," + row.tag + "," +
-                           std::to_string(r.m_star));
+    if (!traced) {
+      result->rows.push_back(std::to_string(pass) + "," + row.tag + "," +
+                             std::to_string(r.m_star));
+    }
     if (!r.bracketed || r.total_faulted != 0 || r.any_partial) {
       result->Miss(where + "bracketed=" + std::to_string(r.bracketed) +
                    " quarantined=" + std::to_string(r.total_faulted) +
                    " partial=" + std::to_string(r.any_partial));
-      continue;
-    }
-    if (!bands.empty()) {
-      const auto band = bands.find(row.tag);
-      if (band == bands.end()) {
-        result->Miss(where + "no reference band");
-      } else if (r.m_star < band->second.first ||
-                 r.m_star > band->second.second) {
-        result->Miss(where + "m*=" + std::to_string(r.m_star) +
-                     " outside [" + std::to_string(band->second.first) + ", " +
-                     std::to_string(band->second.second) + "]");
-      }
     }
   }
   out.wall = MonotonicSeconds() - start - (layer->replay_s - replay_before);
@@ -394,12 +353,6 @@ RunResult RunMc(const RunConfig& config) {
     }
     mixtures.push_back(std::move(mixture).value());
   }
-  std::string error;
-  const Bands bands = LoadBands(config.bands_path, config.workload, &error);
-  if (!error.empty()) {
-    result.Miss(error);
-    return result;
-  }
   result.first_call = MonotonicSeconds();
   if (config.setup_only) return result;
 
@@ -409,16 +362,16 @@ RunResult RunMc(const RunConfig& config) {
   for (int64_t pass = 0; KeepGoing(start, config.seconds, result.passes);
        ++pass, ++result.passes) {
     const uint64_t pass_seed =
-        sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass));
-    const Pass plain = RunPass(rows, mixtures, pass_seed, pass, threads, bands,
-                               false, &result.op_seconds, &layer, &result);
+        sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass % kPassCycle));
+    const Pass plain = RunPass(rows, mixtures, pass_seed, pass, threads, false,
+                               &result.op_seconds, &layer, &result);
     result.walls.push_back(plain.wall);
     result.work += plain.completed;
     if (!config.trace) continue;
     // Traced twin of the same pass: same seeds, so the overhead is paired.
     Trace::SetOn(true);
-    const Pass traced = RunPass(rows, mixtures, pass_seed, pass, threads,
-                                bands, true, nullptr, &layer, &result);
+    const Pass traced = RunPass(rows, mixtures, pass_seed, pass, threads, true,
+                                nullptr, &layer, &result);
     Trace::SetOn(false);
     // The composed pieces must reproduce EstimateFailureProbability exactly.
     if (traced.m_star != plain.m_star) {

@@ -156,7 +156,7 @@ RunResult RunSolve(const RunConfig& config) {
   for (int64_t pass = 0; KeepGoing(start, config.seconds, result.passes);
        ++pass, ++result.passes) {
     const uint64_t pass_seed =
-        sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass));
+        sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass % kPassCycle));
     const double plain =
         RunPass(pass_seed, pass, false, &result.op_seconds, &result);
     result.walls.push_back(plain);

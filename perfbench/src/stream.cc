@@ -1,9 +1,11 @@
 // sosed_stream: a closed loop against a separate `sosed` server process over
 // a Unix socket. One load-generator process (this one) runs C synchronous
-// ServiceClient connections, one per thread; each client opens a session,
-// streams ascending-row updates in pipelined batches and interleaves sketch
-// and distortion queries at a fixed ratio. Each session's final sketch is compared bit
-// for bit with batch ApplySparse on the same data.
+// ServiceClient connections, one per thread. Each client does what the
+// service's own selfcheck does (src/sosed/selfcheck.cc): it opens a session,
+// sends one `update` per ascending row and waits for each reply, fetches the
+// final sketch and compares it bit for bit with batch ApplySparse on the
+// same data. Unlike selfcheck it also interleaves reads, alternately
+// `sketch` and `distortion`, at a fixed ratio.
 #include <poll.h>
 #include <signal.h>
 #include <spawn.h>
@@ -36,15 +38,19 @@ using sose::sosed::Reply;
 using sose::sosed::ServiceClient;
 using sose::sosed::UpdateEntry;
 
+// selfcheck's session shape (m, s, k and the 70% fill of a row's cells),
+// over a larger ambient dimension so a pass can stream many rows.
 constexpr int64_t kAmbientN = int64_t{1} << 20;
 constexpr int64_t kTargetM = 64;
 constexpr int64_t kSparsity = 4;
-constexpr int64_t kColumns = 8;
-constexpr int64_t kRowsPerPass = 65536;
-/// Update requests pipelined per round trip (one `update` operation).
-constexpr size_t kRowsPerBatch = 256;
-/// One read (alternately `sketch` and `distortion`) per this many batches.
-constexpr size_t kBatchesPerQuery = 4;
+constexpr int64_t kColumns = 6;
+constexpr double kFill = 0.7;
+/// Rows each client streams per pass.
+constexpr int64_t kRowsPerPass = 32768;
+/// One read per this many updates. No in-repo client reads mid-stream;
+/// the ratio is this benchmark's choice, so that reads stay a small share
+/// of the traffic yet give a few hundred latency samples per pass.
+constexpr size_t kUpdatesPerQuery = 64;
 constexpr double kTimeout = 10.0;
 
 /// The sosed child process: spawned with its stdout on a pipe so the
@@ -160,7 +166,7 @@ struct ClientPass {
   std::string family;
   uint64_t sketch_seed = 0;
   std::vector<std::pair<int64_t, std::vector<UpdateEntry>>> data;
-  std::vector<double> update_s;  // per batch
+  std::vector<double> update_s;
   std::vector<double> query_s;
   int64_t rows = 0;
   int64_t attempted = 0;
@@ -179,7 +185,8 @@ void MakeData(uint64_t data_seed, ClientPass* pass) {
                                          static_cast<uint64_t>(stride)));
     std::vector<UpdateEntry> entries;
     for (int64_t c = 0; c < kColumns; ++c) {
-      if (c == 0 || rng.UniformDouble() < 0.75) {
+      // Column 0 is always written, so no update is empty.
+      if (c == 0 || rng.UniformDouble() < kFill) {
         entries.push_back({c, rng.UniformDouble(-1.0, 1.0)});
       }
     }
@@ -222,33 +229,17 @@ void RunClient(ServiceClient* client, const std::string& sid, int64_t op,
       })) {
     return;
   }
-  for (size_t first = 0, batch = 1; first < pass->data.size();
-       first += kRowsPerBatch, ++batch) {
-    // One batch: its update requests are pipelined on the connection and
-    // their replies read back in order.
-    const size_t end = std::min(first + kRowsPerBatch, pass->data.size());
-    std::string wire;
-    for (size_t j = first; j < end; ++j) {
-      wire += sose::sosed::EncodeUpdateRequest(sid, pass->data[j].first,
-                                               pass->data[j].second);
+  for (size_t j = 0; j < pass->data.size(); ++j) {
+    const auto& update = pass->data[j];
+    if (!request("update", timed(Layer::kUpdate, &pass->update_s, [&] {
+          return client->Update(sid, update.first, update.second, kTimeout);
+        }))) {
+      return;
     }
-    {
-      Span span(Layer::kUpdate);
-      const double start = MonotonicSeconds();
-      const sose::Status sent = client->SendRaw(wire, kTimeout);
-      for (size_t j = first; j < end; ++j) {
-        if (!request("update", [&] {
-              return sent.ok() ? client->NextReply(kTimeout)
-                               : sose::Result<Reply>(sent);
-            })) {
-          return;
-        }
-      }
-      pass->update_s.push_back(MonotonicSeconds() - start);
-    }
-    pass->rows += static_cast<int64_t>(end - first);
-    if (batch % kBatchesPerQuery != 0) continue;
-    const bool ok = (batch / kBatchesPerQuery) % 2 == 1
+    ++pass->rows;
+    const size_t done = j + 1;
+    if (done % kUpdatesPerQuery != 0) continue;
+    const bool ok = (done / kUpdatesPerQuery) % 2 == 1
                         ? request("sketch", timed(Layer::kQuery, &pass->query_s, fetch))
                         : request("distortion",
                                   timed(Layer::kQuery, &pass->query_s, distortion));
@@ -346,7 +337,7 @@ RunResult RunStream(const RunConfig& config) {
   // Closed loop: at most nproc − 1 clients, so the server keeps a core.
   const int num_clients = std::max(1, std::min(2, Nproc() - 1));
   result.Info("clients", std::to_string(num_clients));
-  result.Info("op", "update batch (256 pipelined row updates)");
+  result.Info("op", "update (one row, request to reply)");
   result.Info("work", "streamed row updates");
 
   // Set-up: spawn the server, await `ready`, connect every client plus a
@@ -377,7 +368,7 @@ RunResult RunStream(const RunConfig& config) {
        !config.setup_only && KeepGoing(start, config.seconds, result.passes);
        ++pass, ++result.passes) {
     const uint64_t pass_seed =
-        sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass));
+        sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass % kPassCycle));
     const PassTotals plain =
         RunPass(clients, pass_seed, 2 * pass, &result.op_seconds, &query_s,
                 &result);

@@ -89,6 +89,39 @@ class BenchmarkJsonTest(unittest.TestCase):
         self.assertEqual(setup["bound"], max(m["bound"] for m in e2e.values()))
 
 
+class BandCheckTest(unittest.TestCase):
+    BANDS = {"w": {"mean_log_ratio_limit": 0.1,
+                   "rows": {"a": {"ref": 100.0, "lo": 50, "hi": 200},
+                            "b": {"ref": 1000.0, "lo": 500, "hi": 2000}}}}
+
+    def test_in_band_unbiased_run_passes(self):
+        rows = ["0,a,90", "0,b,1100", "1,a,110", "1,b,900"]
+        self.assertEqual(run.check_bands("w", rows, self.BANDS), [])
+
+    def test_search_outside_its_band_is_a_miss(self):
+        misses = run.check_bands("w", ["0,a,40", "0,b,2000", "1,a,110"], self.BANDS)
+        self.assertEqual(len(misses), 1)
+        self.assertIn("m*=40 outside [50, 200]", misses[0])
+
+    def test_shared_bias_is_caught_by_the_mean(self):
+        # Every search 20% high: inside every band, but log(1.2) > 0.1.
+        rows = ["0,a,120", "0,b,1200", "1,a,120", "1,b,1200"]
+        misses = run.check_bands("w", rows, self.BANDS)
+        self.assertEqual(len(misses), 1)
+        self.assertIn("mean log(m*/ref)", misses[0])
+
+    def test_unknown_row_is_a_miss(self):
+        self.assertIn("no reference band", run.check_bands("w", ["0,c,5"], self.BANDS)[0])
+
+    def test_committed_bands_cover_every_mc_row(self):
+        bands = run.load_bands()
+        for workload in ("mc_dense_threshold", "mc_short_probes"):
+            self.assertGreater(bands[workload]["mean_log_ratio_limit"], 0)
+            for band in bands[workload]["rows"].values():
+                self.assertLessEqual(band["lo"], band["ref"])
+                self.assertLessEqual(band["ref"], band["hi"])
+
+
 class CommandLineTest(unittest.TestCase):
     def test_accepts_the_documented_arguments(self):
         args = run.parse_args(["--workload", "sketch_solve", "--seed", "3",
@@ -104,6 +137,10 @@ class CommandLineTest(unittest.TestCase):
             with self.assertRaises(SystemExit) as caught:
                 run.parse_args(bad)
             self.assertEqual(caught.exception.code, 2, bad)
+
+    def test_child_timeout_grows_with_the_run(self):
+        self.assertGreater(run.run_timeout(35), 35 * 2)
+        self.assertGreater(run.run_timeout(3600), 3600)
 
 
 if __name__ == "__main__":
