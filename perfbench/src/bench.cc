@@ -131,12 +131,15 @@ void EmitPerLayer(PerLayer& p, RunResult* r) {
 }
 
 void EmitEndToEnd(RunResult* r) {
-  double total_wall = 0.0;
-  for (const double w : r->walls) total_wall += w;
+  // Medians over passes, so a pass hit by a scheduler stall moves neither.
+  std::vector<double> rates;
+  for (size_t i = 0; i < r->walls.size(); ++i) {
+    rates.push_back(r->pass_work[i] / r->walls[i]);
+  }
   const Tail tail = HighestTail(r->op_seconds);
   r->Add("wall_s", Median(r->walls), "s");
   r->Add("peak_rss_mb", r->peak_rss_mb, "MB");
-  r->Add("work_per_s", static_cast<double>(r->work) / total_wall, "1/s");
+  r->Add("work_per_s", Median(rates), "1/s");
   r->Add("op_p50_ms", 1e3 * Median(r->op_seconds), "ms");
   r->Info("op_tail_ms", Num(1e3 * tail.value));
   r->Info("op_tail_level_permille", std::to_string(tail.level_permille));

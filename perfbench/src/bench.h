@@ -46,10 +46,11 @@ struct RunResult {
   /// mc_*: one "<pass>,<row>,<m*>" per search, for run.py's band check.
   std::vector<std::string> rows;
   // Untraced measurements, folded into the end-to-end metrics by
-  // EmitEndToEnd: pass walls, per-operation latencies, units of work done.
+  // EmitEndToEnd: pass walls, per-operation latencies, and the units of
+  // work each pass completed.
   std::vector<double> walls;
   std::vector<double> op_seconds;
-  int64_t work = 0;
+  std::vector<double> pass_work;
   double peak_rss_mb = 0.0;
 
   void Add(const std::string& name, double value, const std::string& unit) {
@@ -109,9 +110,10 @@ struct PerLayer {
 };
 
 /// Appends the end-to-end metrics except setup_s, which run.py measures
-/// across processes: wall_s (median pass wall), peak_rss_mb, work_per_s and
-/// op_p50_ms. The operation tail (HighestTail) goes to the report only: on a
-/// shared host it is set by scheduler stalls too much to gate on.
+/// across processes: wall_s (median pass wall), peak_rss_mb, work_per_s
+/// (median over passes of the pass's work per second) and op_p50_ms. The
+/// operation tail (HighestTail) goes to the report only: on a shared host
+/// it is set by scheduler stalls too much to gate on.
 void EmitEndToEnd(RunResult* result);
 
 /// Appends the per-layer metrics (per traced pass) to `result`.

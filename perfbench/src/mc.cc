@@ -366,7 +366,7 @@ RunResult RunMc(const RunConfig& config) {
     const Pass plain = RunPass(rows, mixtures, pass_seed, pass, threads, false,
                                &result.op_seconds, &layer, &result);
     result.walls.push_back(plain.wall);
-    result.work += plain.completed;
+    result.pass_work.push_back(static_cast<double>(plain.completed));
     if (!config.trace) continue;
     // Traced twin of the same pass: same seeds, so the overhead is paired.
     Trace::SetOn(true);

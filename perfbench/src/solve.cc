@@ -157,9 +157,12 @@ RunResult RunSolve(const RunConfig& config) {
        ++pass, ++result.passes) {
     const uint64_t pass_seed =
         sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass % kPassCycle));
+    const size_t solves_before = result.op_seconds.size();
     const double plain =
         RunPass(pass_seed, pass, false, &result.op_seconds, &result);
     result.walls.push_back(plain);
+    result.pass_work.push_back(
+        static_cast<double>(result.op_seconds.size() - solves_before));
     if (!config.trace) continue;
     Trace::SetOn(true);
     const double traced = RunPass(pass_seed, pass, true, nullptr, &result);
@@ -169,7 +172,6 @@ RunResult RunSolve(const RunConfig& config) {
     layer.traced_walls.push_back(traced);
     ++layer.traced_passes;
   }
-  result.work = static_cast<int64_t>(result.op_seconds.size());
   result.peak_rss_mb = PeakRssMb(0);
   if (config.trace) {
     EmitPerLayer(layer, &result);

@@ -117,6 +117,7 @@ TEST(MetricNames, AreWellFormedAndUnique) {
   PerLayer layer;
   EmitPerLayer(layer, &r);
   r.walls = {1.0};
+  r.pass_work = {1.0};
   EmitEndToEnd(&r);
   const std::regex name("[A-Za-z0-9][A-Za-z0-9_.-]{0,63}");
   const std::regex unit("[A-Za-z0-9_/%.-]{1,16}");
