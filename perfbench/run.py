@@ -188,13 +188,14 @@ def report(args, result, setups, metrics, correct):
     if args.trace == 0:
         p("  setup_s: median of %d set-ups: %s" % (len(setups),
                                                   " ".join("%.4f" % s for s in setups)))
-        p("  op = %s; op_tail_ms %s is p%g of %s samples (highest percentile with >= 10 beyond)"
-          % (info["op"], info["op_tail_ms"], int(info["op_tail_level_permille"]) / 10.0,
-             info["op_samples"]))
+        p("  op = %s; op_p50_ms %s; op_tail_ms %s is p%g of %s samples"
+          " (highest percentile with >= 10 beyond)"
+          % (info["op"], info["op_p50_ms"], info["op_tail_ms"],
+             int(info["op_tail_level_permille"]) / 10.0, info["op_samples"]))
         p("  work_per_s counts %s" % info["work"])
         if args.workload == "sosed_stream":
-            p("  update_rows_per_s %.6g rows/s, update_p50_ms %.6g, update_p%g_ms %s"
-              % (metrics["work_per_s"]["value"], metrics["op_p50_ms"]["value"],
+            p("  update_rows_per_s %.6g rows/s, update_p50_ms %s, update_p%g_ms %s"
+              % (metrics["work_per_s"]["value"], info["op_p50_ms"],
                  int(info["op_tail_level_permille"]) / 10.0, info["op_tail_ms"]))
             p("  query_p50_ms %s, query_p%g_ms %s (%s samples)"
               % (info["query_p50_ms"], int(info["query_tail_level_permille"]) / 10.0,

@@ -1,5 +1,6 @@
 #include "bench.h"
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -131,16 +132,15 @@ void EmitPerLayer(PerLayer& p, RunResult* r) {
 }
 
 void EmitEndToEnd(RunResult* r) {
-  // Medians over passes, so a pass hit by a scheduler stall moves neither.
-  std::vector<double> rates;
-  for (size_t i = 0; i < r->walls.size(); ++i) {
-    rates.push_back(r->pass_work[i] / r->walls[i]);
-  }
+  const double wall = CycleMean(r->walls, kPassCycle);
+  const double work = CycleMean(r->pass_work, kPassCycle);
   const Tail tail = HighestTail(r->op_seconds);
-  r->Add("wall_s", Median(r->walls), "s");
+  r->Add("wall_s", wall, "s");
   r->Add("peak_rss_mb", r->peak_rss_mb, "MB");
-  r->Add("work_per_s", Median(rates), "1/s");
-  r->Add("op_p50_ms", 1e3 * Median(r->op_seconds), "ms");
+  r->Add("work_per_s", wall > 0.0 ? work / wall : 0.0, "1/s");
+  r->Add("op_p1_ms", 1e3 * MedianOfKindQuantiles(r->op_seconds, r->op_kinds, 10),
+         "ms");
+  r->Info("op_p50_ms", Num(1e3 * Median(r->op_seconds)));
   r->Info("op_tail_ms", Num(1e3 * tail.value));
   r->Info("op_tail_level_permille", std::to_string(tail.level_permille));
   r->Info("op_samples", std::to_string(tail.count));
@@ -157,6 +157,35 @@ double PeakRssMb(int pid) {
     }
   }
   return 0.0;
+}
+
+namespace {
+
+void SetAffinity(const std::vector<int>& cpus) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (const int cpu : cpus) CPU_SET(cpu, &set);
+  (void)sched_setaffinity(0, sizeof(set), &set);
+}
+
+}  // namespace
+
+CpuRotation::CpuRotation() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus_.push_back(cpu);
+  }
+}
+
+CpuRotation::~CpuRotation() {
+  if (!cpus_.empty()) SetAffinity(cpus_);
+}
+
+void CpuRotation::Pin(int64_t pass) const {
+  if (cpus_.empty()) return;
+  SetAffinity({cpus_[static_cast<size_t>(pass) % cpus_.size()]});
 }
 
 int Nproc() {

@@ -46,10 +46,12 @@ struct RunResult {
   /// mc_*: one "<pass>,<row>,<m*>" per search, for run.py's band check.
   std::vector<std::string> rows;
   // Untraced measurements, folded into the end-to-end metrics by
-  // EmitEndToEnd: pass walls, per-operation latencies, and the units of
-  // work each pass completed.
+  // EmitEndToEnd: pass walls, per-operation latencies with the kind of
+  // each operation (a workload-defined label: the same kind is the same
+  // work in every pass), and the units of work each pass completed.
   std::vector<double> walls;
   std::vector<double> op_seconds;
+  std::vector<int> op_kinds;
   std::vector<double> pass_work;
   double peak_rss_mb = 0.0;
 
@@ -58,6 +60,10 @@ struct RunResult {
   }
   void Info(const std::string& key, const std::string& value) {
     info.emplace_back(key, value);
+  }
+  void Op(int kind, double seconds) {
+    op_kinds.push_back(kind);
+    op_seconds.push_back(seconds);
   }
   void Miss(const std::string& what) {
     misses.push_back(what);
@@ -110,10 +116,14 @@ struct PerLayer {
 };
 
 /// Appends the end-to-end metrics except setup_s, which run.py measures
-/// across processes: wall_s (median pass wall), peak_rss_mb, work_per_s
-/// (median over passes of the pass's work per second) and op_p50_ms. The
-/// operation tail (HighestTail) goes to the report only: on a shared host
-/// it is set by scheduler stalls too much to gate on.
+/// across processes. Pass p repeats the work of pass p % kPassCycle, and
+/// each of those pass kinds is averaged first (CycleMean), so the cycle's
+/// passes weigh the same however many passes the run fitted: wall_s (mean
+/// pass wall), work_per_s (mean pass work over mean pass wall),
+/// peak_rss_mb, and op_p1_ms (MedianOfKindQuantiles at p1: the fastest
+/// percent of each operation kind, which the shared host's bursts of
+/// interference leave alone, then the median over kinds). The pooled
+/// op_p50_ms and the operation tail (HighestTail) go to the report only.
 void EmitEndToEnd(RunResult* result);
 
 /// Appends the per-layer metrics (per traced pass) to `result`.
@@ -123,6 +133,24 @@ void EmitPerLayer(PerLayer& layer, RunResult* result);
 /// status file cannot be read.
 double PeakRssMb(int pid);
 
+/// Spreads a serial workload's passes over the cores the process may use:
+/// Pin(p) moves the calling thread to the (p mod n)-th of them. On a shared
+/// host each core runs at its own, slowly changing speed, and a thread left
+/// alone stays on one core for tens of seconds, so a run would measure
+/// whichever core it landed on; rotating makes every run sample each core
+/// equally. The destructor restores the original set.
+class CpuRotation {
+ public:
+  CpuRotation();
+  ~CpuRotation();
+  CpuRotation(const CpuRotation&) = delete;
+  CpuRotation& operator=(const CpuRotation&) = delete;
+  void Pin(int64_t pass) const;
+
+ private:
+  std::vector<int> cpus_;
+};
+
 /// Number of online processors.
 int Nproc();
 
@@ -130,16 +158,14 @@ int Nproc();
 std::string Num(double value);
 
 /// A run cycles through this many passes, pass p seeded with
-/// DeriveSeed(seed, p % kPassCycle), and stops only at the end of a cycle,
-/// so every run measures whole cycles of the same pinned work whatever the
-/// speed of the build.
+/// DeriveSeed(seed, p % kPassCycle), so every run repeats the same pinned
+/// work whatever the speed of the build.
 constexpr int64_t kPassCycle = 4;
 
-/// Runs whole cycles until `seconds` have passed since `start` (at least
-/// one cycle).
+/// Runs passes until `seconds` have passed since `start`, and at least one
+/// whole cycle.
 inline bool KeepGoing(double start, double seconds, int64_t passes_done) {
-  return passes_done % kPassCycle != 0 || passes_done == 0 ||
-         MonotonicSeconds() - start < seconds;
+  return passes_done < kPassCycle || MonotonicSeconds() - start < seconds;
 }
 
 /// The workloads.

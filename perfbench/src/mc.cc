@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -255,8 +256,8 @@ struct Pass {
 
 Pass RunPass(const std::vector<Row>& rows,
              const std::vector<sose::SectionThreeMixture>& mixtures,
-             uint64_t pass_seed, int64_t pass, int threads, bool traced, std::vector<double>* probe_seconds, PerLayer* layer,
-             RunResult* result) {
+             uint64_t pass_seed, int64_t pass, int threads, bool traced,
+             PerLayer* layer, RunResult* result) {
   Pass out;
   out.m_star.assign(rows.size(), 0);
   const double replay_before = layer->replay_s;
@@ -288,7 +289,8 @@ Pass RunPass(const std::vector<Row>& rows,
         Replay(factory, layer);
         layer->replay_s += MonotonicSeconds() - replay_start;
       } else {
-        probe_seconds->push_back(MonotonicSeconds() - probe_start);
+        // A probe's kind is its row.
+        result->Op(static_cast<int>(i), MonotonicSeconds() - probe_start);
       }
       if (estimate.ok()) {
         out.completed += estimate.value().completed;
@@ -358,20 +360,25 @@ RunResult RunMc(const RunConfig& config) {
 
   PerLayer layer;
   layer.threads = threads;
+  // Only the serial workload rotates: pinning would put mc_short_probes'
+  // trial threads on one core.
+  const std::optional<CpuRotation> rotation =
+      dense ? std::make_optional<CpuRotation>() : std::nullopt;
   const double start = MonotonicSeconds();
   for (int64_t pass = 0; KeepGoing(start, config.seconds, result.passes);
        ++pass, ++result.passes) {
     const uint64_t pass_seed =
         sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass % kPassCycle));
+    if (rotation) rotation->Pin(pass);
     const Pass plain = RunPass(rows, mixtures, pass_seed, pass, threads, false,
-                               &result.op_seconds, &layer, &result);
+                               &layer, &result);
     result.walls.push_back(plain.wall);
     result.pass_work.push_back(static_cast<double>(plain.completed));
     if (!config.trace) continue;
     // Traced twin of the same pass: same seeds, so the overhead is paired.
     Trace::SetOn(true);
     const Pass traced = RunPass(rows, mixtures, pass_seed, pass, threads, true,
-                                nullptr, &layer, &result);
+                                &layer, &result);
     Trace::SetOn(false);
     // The composed pieces must reproduce EstimateFailureProbability exactly.
     if (traced.m_star != plain.m_star) {

@@ -61,13 +61,16 @@ class TimedSketch : public sose::SketchingMatrix {
 };
 
 /// One pass: for each design, one planted instance and every
-/// (family, m) solve on it. Returns the pass wall time.
+/// (family, m) solve on it; an untraced pass records each solve's latency,
+/// its kind the (design, family, m) index. Returns the pass wall time.
 double RunPass(uint64_t pass_seed, int64_t pass, bool traced,
-               std::vector<double>* solve_seconds, RunResult* result) {
+               RunResult* result) {
   const double start = MonotonicSeconds();
-  int64_t op = 0;
+  int op = 0;
   for (const sose::DesignKind kind :
        {sose::DesignKind::kIncoherent, sose::DesignKind::kCoherent}) {
+    const int design_op = op;
+    op += 12;
     const std::string design =
         kind == sose::DesignKind::kIncoherent ? "incoherent" : "coherent";
     sose::Rng rng(sose::DeriveSeed(pass_seed, static_cast<uint64_t>(kind)));
@@ -84,9 +87,11 @@ double RunPass(uint64_t pass_seed, int64_t pass, bool traced,
     }
     const sose::Matrix& a = instance.value().a;
     const std::vector<double>& b = instance.value().b;
+    int solve_op = design_op;
     for (const char* family : {"countsketch", "osnap", "gaussian"}) {
       for (const int64_t m : {2 * kD, 8 * kD, 32 * kD, 128 * kD}) {
-        Trace::SetOp(pass * 1000 + op++);
+        const int solve_kind = solve_op++;
+        Trace::SetOp(pass * 1000 + solve_kind);
         ++result->attempted;
         const std::string where = "pass " + std::to_string(pass) + " " +
                                   design + " " + family + " m=" +
@@ -117,7 +122,7 @@ double RunPass(uint64_t pass_seed, int64_t pass, bool traced,
           Span span(Layer::kSolve);
           solution = sose::SketchAndSolve(used, a, b);
         }
-        if (!traced) solve_seconds->push_back(MonotonicSeconds() - solve_start);
+        if (!traced) result->Op(solve_kind, MonotonicSeconds() - solve_start);
         if (!solution.ok()) {
           // A rank-deficient sketched system is possible only at m = 2d.
           if (m >= 8 * kD) result->Miss(where + solution.status().ToString());
@@ -152,20 +157,22 @@ RunResult RunSolve(const RunConfig& config) {
   if (config.setup_only) return result;
 
   PerLayer layer;
+  const CpuRotation rotation;
   const double start = MonotonicSeconds();
   for (int64_t pass = 0; KeepGoing(start, config.seconds, result.passes);
        ++pass, ++result.passes) {
     const uint64_t pass_seed =
         sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass % kPassCycle));
+    rotation.Pin(pass);
     const size_t solves_before = result.op_seconds.size();
     const double plain =
-        RunPass(pass_seed, pass, false, &result.op_seconds, &result);
+        RunPass(pass_seed, pass, false, &result);
     result.walls.push_back(plain);
     result.pass_work.push_back(
         static_cast<double>(result.op_seconds.size() - solves_before));
     if (!config.trace) continue;
     Trace::SetOn(true);
-    const double traced = RunPass(pass_seed, pass, true, nullptr, &result);
+    const double traced = RunPass(pass_seed, pass, true, &result);
     Trace::SetOn(false);
     FoldSpans(Trace::Drain(), &layer.totals);
     layer.untraced_walls.push_back(plain);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <ctime>
+#include <map>
 
 namespace perfbench {
 
@@ -49,6 +50,37 @@ Tail HighestTail(std::vector<double> samples) {
     tail.beyond = beyond;
   }
   return tail;
+}
+
+double CycleMean(const std::vector<double>& per_pass, int64_t cycle) {
+  double sum = 0.0;
+  int64_t kinds = 0;
+  for (int64_t k = 0; k < cycle; ++k) {
+    double kind_sum = 0.0;
+    int64_t count = 0;
+    for (size_t i = static_cast<size_t>(k); i < per_pass.size();
+         i += static_cast<size_t>(cycle)) {
+      kind_sum += per_pass[i];
+      ++count;
+    }
+    if (count == 0) continue;
+    sum += kind_sum / static_cast<double>(count);
+    ++kinds;
+  }
+  return kinds == 0 ? 0.0 : sum / static_cast<double>(kinds);
+}
+
+double MedianOfKindQuantiles(const std::vector<double>& samples,
+                             const std::vector<int>& kinds, int permille) {
+  std::map<int, std::vector<double>> by_kind;
+  for (size_t i = 0; i < samples.size() && i < kinds.size(); ++i) {
+    by_kind[kinds[i]].push_back(samples[i]);
+  }
+  std::vector<double> quantiles;
+  for (auto& [kind, values] : by_kind) {
+    quantiles.push_back(NearestRank(std::move(values), permille));
+  }
+  return Median(std::move(quantiles));
 }
 
 double SelfTime(const Interval& parent, std::vector<Interval> children) {

@@ -39,6 +39,17 @@ Tail HighestTail(std::vector<double> samples);
 /// Nearest-rank quantile of `samples` at `permille` (0 when empty).
 double NearestRank(std::vector<double> samples, int permille);
 
+/// Mean of per-kind means, where sample i is of kind i % cycle: each of a
+/// cycle's passes weighs the same however many of them a run fitted. Kinds
+/// with no sample are skipped; 0 when empty.
+double CycleMean(const std::vector<double>& per_pass, int64_t cycle);
+
+/// For each kind (kinds[i] labels samples[i]), the nearest-rank quantile at
+/// `permille` of that kind's samples; then the median over kinds. 0 when
+/// empty.
+double MedianOfKindQuantiles(const std::vector<double>& samples,
+                             const std::vector<int>& kinds, int permille);
+
 /// A closed time interval [start, end] in seconds.
 struct Interval {
   double start = 0.0;

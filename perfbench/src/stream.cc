@@ -373,6 +373,8 @@ RunResult RunStream(const RunConfig& config) {
     const PassTotals plain =
         RunPass(clients, pass_seed, 2 * pass, &result.op_seconds, &query_s,
                 &result);
+    // Every update is one kind of operation.
+    result.op_kinds.resize(result.op_seconds.size(), 0);
     result.walls.push_back(plain.wall);
     result.pass_work.push_back(static_cast<double>(plain.rows));
     if (!config.trace) continue;

@@ -112,6 +112,37 @@ TEST(EmitPerLayer, DistortionSelfIsBusyMinusColumnAndEigenReplays) {
   EXPECT_DOUBLE_EQ(value("ose.runner.utilization"), 0.75);
 }
 
+TEST(CycleMean, WeighsEachPassKindOnce) {
+  // Kinds 0 and 1 of a 2-pass cycle; kind 0 ran three times, kind 1 twice.
+  EXPECT_DOUBLE_EQ(CycleMean({1.0, 10.0, 3.0, 20.0, 2.0}, 2), (2.0 + 15.0) / 2);
+  // A kind with no sample is skipped.
+  EXPECT_DOUBLE_EQ(CycleMean({4.0, 6.0}, 4), 5.0);
+  EXPECT_DOUBLE_EQ(CycleMean({}, 4), 0.0);
+}
+
+TEST(MedianOfKindQuantiles, TakesEachKindsQuantileThenTheMedian) {
+  // Kind 0 is 1..200 (p1 = rank 2), kind 1 is 1001..1010 (p1 = its
+  // minimum), kind 2 a single 50.
+  std::vector<double> samples;
+  std::vector<int> kinds;
+  for (int i = 200; i >= 1; --i) {
+    samples.push_back(i);
+    kinds.push_back(0);
+  }
+  for (int i = 1010; i > 1000; --i) {
+    samples.push_back(i);
+    kinds.push_back(1);
+  }
+  samples.push_back(50.0);
+  kinds.push_back(2);
+  EXPECT_DOUBLE_EQ(MedianOfKindQuantiles(samples, kinds, 10), 50.0);
+  // Median over an even number of kinds averages the middle two.
+  samples.pop_back();
+  kinds.pop_back();
+  EXPECT_DOUBLE_EQ(MedianOfKindQuantiles(samples, kinds, 10), (2.0 + 1001.0) / 2);
+  EXPECT_DOUBLE_EQ(MedianOfKindQuantiles({}, {}, 10), 0.0);
+}
+
 TEST(MetricNames, AreWellFormedAndUnique) {
   RunResult r;
   PerLayer layer;

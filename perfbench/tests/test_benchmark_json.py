@@ -22,7 +22,7 @@ UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
 WORKLOADS = {"mc_dense_threshold", "sketch_solve", "sosed_stream"}
 # The end-to-end metrics every workload reports (see README.md for how the
 # sosed-specific metric names map onto them).
-END_TO_END = {"wall_s", "setup_s", "peak_rss_mb", "work_per_s", "op_p50_ms"}
+END_TO_END = {"wall_s", "setup_s", "peak_rss_mb", "work_per_s", "op_p1_ms"}
 PER_LAYER = {
     "ose.search.calls", "ose.search.busy_s", "ose.search.probes",
     "ose.estimate.calls", "ose.estimate.busy_s", "ose.estimate.p50_ms", "ose.estimate.p90_ms",
