@@ -37,8 +37,9 @@ SETUP_SPAWNS = 30
 
 
 def run_timeout(seconds):
-    """How long one perfbench process may take: its measured time, the
-    overrun of its last pass cycle, and start-up."""
+    """How long one perfbench process may take: its measured time (or its
+    first whole pass cycle, if that is longer), the overrun of its last
+    pass, and start-up."""
     return 2 * seconds + 90
 
 

@@ -159,13 +159,17 @@ std::string Num(double value);
 
 /// A run cycles through this many passes, pass p seeded with
 /// DeriveSeed(seed, p % kPassCycle), so every run repeats the same pinned
-/// work whatever the speed of the build.
-constexpr int64_t kPassCycle = 4;
+/// work whatever the speed of the build. The cost of an mc_dense_threshold
+/// pass depends on its seed (a search's probes follow its m*), so the
+/// cycle is long enough that its mean over seeds is steady.
+constexpr int64_t kPassCycle = 12;
 
-/// Runs passes until `seconds` have passed since `start`, and at least one
-/// whole cycle.
-inline bool KeepGoing(double start, double seconds, int64_t passes_done) {
-  return passes_done < kPassCycle || MonotonicSeconds() - start < seconds;
+/// Runs passes until `seconds` have passed since `start`; an untraced run
+/// runs at least one whole cycle, a traced one at least one pass.
+inline bool KeepGoing(double start, double seconds, int64_t passes_done,
+                      bool traced) {
+  return passes_done < (traced ? 1 : kPassCycle) ||
+         MonotonicSeconds() - start < seconds;
 }
 
 /// The workloads.

@@ -365,7 +365,7 @@ RunResult RunMc(const RunConfig& config) {
   const std::optional<CpuRotation> rotation =
       dense ? std::make_optional<CpuRotation>() : std::nullopt;
   const double start = MonotonicSeconds();
-  for (int64_t pass = 0; KeepGoing(start, config.seconds, result.passes);
+  for (int64_t pass = 0; KeepGoing(start, config.seconds, result.passes, config.trace);
        ++pass, ++result.passes) {
     const uint64_t pass_seed =
         sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass % kPassCycle));

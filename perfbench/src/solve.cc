@@ -159,7 +159,7 @@ RunResult RunSolve(const RunConfig& config) {
   PerLayer layer;
   const CpuRotation rotation;
   const double start = MonotonicSeconds();
-  for (int64_t pass = 0; KeepGoing(start, config.seconds, result.passes);
+  for (int64_t pass = 0; KeepGoing(start, config.seconds, result.passes, config.trace);
        ++pass, ++result.passes) {
     const uint64_t pass_seed =
         sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass % kPassCycle));

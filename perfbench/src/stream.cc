@@ -366,7 +366,8 @@ RunResult RunStream(const RunConfig& config) {
   std::vector<double> query_s;
   const double start = MonotonicSeconds();
   for (int64_t pass = 0;
-       !config.setup_only && KeepGoing(start, config.seconds, result.passes);
+       !config.setup_only && KeepGoing(start, config.seconds, result.passes,
+                                           config.trace);
        ++pass, ++result.passes) {
     const uint64_t pass_seed =
         sose::DeriveSeed(config.seed, static_cast<uint64_t>(pass % kPassCycle));
